@@ -18,7 +18,7 @@ intersection gates.
 Usage::
 
     PYTHONPATH=src python scripts/bench_compare.py [--repeats N]
-        [--workers N] [--baseline PATH]
+        [--baseline PATH]
 
 Exit status 1 on any regression — wired to ``make bench-compare`` and
 the ``bench-compare`` CI job.
@@ -48,9 +48,7 @@ def load_baseline(path: Path) -> dict[str, float]:
     }
 
 
-def fresh_speedups(
-    repeats: int, workers: int
-) -> tuple[dict[str, float], dict[str, int]]:
+def fresh_speedups(repeats: int) -> tuple[dict[str, float], dict[str, int]]:
     from repro.bench import (
         run_parallel_scenarios,
         run_read_scenarios,
@@ -60,9 +58,9 @@ def fresh_speedups(
     )
 
     scenarios = dict(run_scenarios(repeats=repeats))
-    scenarios.update(run_parallel_scenarios(repeats=repeats, workers=workers))
-    # The sharded tier's 4-shard-vs-inline ratio (its own best-of is
-    # baked into run_shard_scenarios; the s8 point is informational).
+    scenarios.update(run_parallel_scenarios(repeats=repeats))
+    # The sharded tier's 4-shard ratio against the inline single-process
+    # path (its own best-of is baked into run_shard_scenarios).
     scenarios.update(run_shard_scenarios(shard_counts=(1, 4)))
     # Failover: promote-a-follower vs cold recovery (the lag scenario
     # it also returns carries no speedup and is informational).
@@ -105,13 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         help="best-of repeats per scenario (default 10)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="block-executor width for the parallel scenarios "
-        "(default 4, matching the committed baseline)",
-    )
-    parser.add_argument(
         "--baseline",
         type=Path,
         default=REPO_ROOT / "BENCH_perf.json",
@@ -124,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no speedup-tracked scenarios in {args.baseline}")
         return 1
     baseline_invariants = load_invariants(args.baseline)
-    fresh, fresh_invariants = fresh_speedups(args.repeats, args.workers)
+    fresh, fresh_invariants = fresh_speedups(args.repeats)
 
     regressions: list[str] = []
     width = max(len(name) for name in sorted(baseline | fresh.keys()))

@@ -63,16 +63,16 @@ def default_invalidation_config() -> InvalidationConfig:
             "core/engine.py::WeakInstanceEngine.insert": ("_note_write",),
             "core/engine.py::WeakInstanceEngine.delete": ("_note_write",),
             "core/engine.py::WeakInstanceEngine.modify": ("insert",),
-            "core/engine.py::WeakInstanceEngine.batch": (
-                "_batch_blocks",
-                "_batch_serial",
-            ),
+            "core/engine.py::WeakInstanceEngine.batch": ("apply_indexed",),
             "core/engine.py::WeakInstanceEngine.apply_batch": ("batch",),
             "core/engine.py::WeakInstanceEngine._batch_serial": (
+                "_apply_serial",
+            ),
+            "core/engine.py::WeakInstanceEngine._apply_serial": (
                 "insert",
                 "delete",
             ),
-            "core/engine.py::WeakInstanceEngine._batch_blocks": (
+            "core/engine.py::WeakInstanceEngine.apply_indexed": (
                 "note_write",
             ),
             # Store: applies through the engine's stamping mutators —
@@ -93,11 +93,9 @@ def default_invalidation_config() -> InvalidationConfig:
                 "insert",
                 "delete",
             ),
-            # Shard worker: apply_slice is the per-shard mutation
-            # kernel — its block-routed fast path must stamp the
-            # written blocks itself (the serial fallback delegates to
-            # engine.insert/delete, which stamp).
-            "shard/worker.py::apply_slice": ("note_write",),
+            # Shard worker: apply_slice runs the engine's batch path,
+            # which stamps the written blocks.
+            "shard/worker.py::apply_slice": ("apply_indexed",),
         },
         exempt={
             "shard/worker.py::ShardWorker._commit": (

@@ -156,12 +156,13 @@ def run_scenarios(repeats: int = 30) -> dict[str, dict]:
 
     # The compiled maintenance hot path (repro.compile): the same [AE]
     # plan through the engine's columnar kernel program versus the
-    # interpreted expression walk it replaced — single-worker, so the
-    # ratio is pure kernel-vs-interpreter, no pool effects.
+    # interpreted expression walk it replaced.  The read cache is off:
+    # with it, every timed repeat after the first is a cache hit and
+    # the ratio would measure the cache, not the kernels.
     from repro.core.ctm import InsertMaintainer
     from repro.core.engine import WeakInstanceEngine
 
-    engine = WeakInstanceEngine(state.scheme)
+    engine = WeakInstanceEngine(state.scheme, read_cache=False)
     plan = engine.plan(target)
     scenarios["compiled_total_projection_n256"] = _scenario(
         "e04 [AE] compiled kernels",
@@ -210,20 +211,18 @@ def run_scenarios(repeats: int = 30) -> dict[str, dict]:
     return scenarios
 
 
-def run_parallel_scenarios(
-    repeats: int = 30, workers: int = 4
-) -> dict[str, dict]:
-    """The block-parallel and delta-maintenance scenarios.
+def run_parallel_scenarios(repeats: int = 30) -> dict[str, dict]:
+    """The block-batch and delta-maintenance scenarios.
 
-    * ``scaling_block_parallel_batch_w{workers}`` (``workers > 1``
-      only): a shuffled 192-update batch over 8 tiles of the university
-      scheme, through ``WeakInstanceEngine.batch`` serially and with a
-      ``workers``-wide block executor.  The independence decomposition
-      routes each tile's updates to its blocks; beyond any pool
-      concurrency, the block path amortizes one substate extraction,
-      one persistent :class:`~repro.core.maintenance.StateIndex`, and
-      one full-state merge over the whole slice, where the serial loop
-      pays each per insert.
+    * ``block_batch_vs_serial``: a shuffled 192-update batch over 8
+      tiles of the university scheme, through ``WeakInstanceEngine.batch``
+      (the block path) against ``WeakInstanceEngine._batch_serial`` (the
+      per-insert loop) on the same engine.  The independence
+      decomposition routes each tile's updates to its blocks; the block
+      path amortizes one substate extraction, one persistent
+      :class:`~repro.core.maintenance.StateIndex`, and one full-state
+      merge over the whole slice, where the serial loop pays each per
+      insert.
     * ``delta_insert_replay_e02_n64``: sixteen accepted inserts
       replayed in sequence on Example 2's chain (the full-chase
       strategy's home turf) — the engine's persistent
@@ -241,82 +240,73 @@ def run_parallel_scenarios(
 
     scenarios: dict[str, dict] = {}
 
-    if workers > 1:
-        tiles = 8
-        scheme = tiled_university(tiles)
-        state = DatabaseState(
-            scheme,
-            {
-                f"T{tile}R4": [
-                    {
-                        f"C{tile}": f"c{i}",
-                        f"S{tile}": f"s{i}",
-                        f"G{tile}": "A",
-                    }
-                    for i in range(40)
-                ]
-                for tile in range(tiles)
-            },
-        )
-        rng = random.Random(BENCH_SEED)
-        updates: list = []
-        for tile in range(tiles):
-            for i in range(16):
-                updates.append(
-                    (
-                        "insert",
-                        f"T{tile}R4",
-                        {
-                            f"C{tile}": f"nc{i}",
-                            f"S{tile}": f"ns{i}",
-                            f"G{tile}": "B",
-                        },
-                    )
-                )
-            for i in range(8):
-                updates.append(
-                    (
-                        "insert",
-                        f"T{tile}R5",
-                        {
-                            f"H{tile}": f"h{i}",
-                            f"S{tile}": f"s{i}",
-                            f"R{tile}": f"r{i}",
-                        },
-                    )
-                )
-        rng.shuffle(updates)
-        serial = WeakInstanceEngine(scheme)
-        parallel = WeakInstanceEngine(scheme, workers=workers)
-        try:
-            record = _scenario(
-                "block-parallel batch",
-                state,
-                lambda: parallel.batch(state, updates),
-                lambda: serial.batch(state, updates),
-                repeats,
-                lambda fast, slow: bool(fast) == bool(slow)
-                and fast.applied == slow.applied
-                and all(
-                    fast.state[name].row_vectors
-                    == slow.state[name].row_vectors
-                    for name in scheme.names
-                ),
-            )
-            record.update(
+    tiles = 8
+    scheme = tiled_university(tiles)
+    state = DatabaseState(
+        scheme,
+        {
+            f"T{tile}R4": [
                 {
-                    "updates": len(updates),
-                    "workers": workers,
-                    "blocks": len(partition_scheme(scheme).blocks),
-                    "seed": BENCH_SEED,
-                    "scheme_fingerprint": partition_scheme(
-                        scheme
-                    ).fingerprint,
+                    f"C{tile}": f"c{i}",
+                    f"S{tile}": f"s{i}",
+                    f"G{tile}": "A",
                 }
+                for i in range(40)
+            ]
+            for tile in range(tiles)
+        },
+    )
+    rng = random.Random(BENCH_SEED)
+    updates: list = []
+    for tile in range(tiles):
+        for i in range(16):
+            updates.append(
+                (
+                    "insert",
+                    f"T{tile}R4",
+                    {
+                        f"C{tile}": f"nc{i}",
+                        f"S{tile}": f"ns{i}",
+                        f"G{tile}": "B",
+                    },
+                )
             )
-            scenarios[f"scaling_block_parallel_batch_w{workers}"] = record
-        finally:
-            parallel.close()
+        for i in range(8):
+            updates.append(
+                (
+                    "insert",
+                    f"T{tile}R5",
+                    {
+                        f"H{tile}": f"h{i}",
+                        f"S{tile}": f"s{i}",
+                        f"R{tile}": f"r{i}",
+                    },
+                )
+            )
+    rng.shuffle(updates)
+    engine = WeakInstanceEngine(scheme)
+    record = _scenario(
+        "block batch",
+        state,
+        lambda: engine.batch(state, updates),
+        lambda: engine._batch_serial(state, updates),
+        repeats,
+        lambda fast, slow: bool(fast) == bool(slow)
+        and fast.applied == slow.applied
+        and all(
+            fast.state[name].row_vectors == slow.state[name].row_vectors
+            for name in scheme.names
+        ),
+    )
+    record.update(
+        {
+            "updates": len(updates),
+            "blocks": len(partition_scheme(scheme).blocks),
+            "seed": BENCH_SEED,
+            "scheme_fingerprint": partition_scheme(scheme).fingerprint,
+        }
+    )
+    scenarios["block_batch_vs_serial"] = record
 
     # Delta replay: each timed run replays the same insert sequence
     # from the same base state; the engine re-seeds its basis on the
@@ -640,10 +630,12 @@ def run_shard_scenarios(
     ``BENCH_SEED``) runs through a durable :class:`~repro.shard.router
     .ShardRouter` at each requested shard count over ``tiles`` tiles of
     the university scheme (3 blocks per tile).  One shard is the inline
-    fast path — today's single-process ``SchemeServer`` over one
-    ``DurableStore`` — so ``shard_scaling_s4_vs_s1`` measures exactly
-    what sharding buys: per-shard WALs plus the workers' amortized
-    ``block_batch`` kernels against the serial per-insert loop.
+    fast path — the single-process ``SchemeServer`` over one
+    ``DurableStore``, whose batches take the same ``block_batch`` path
+    the workers run — so ``shard_scaling_s4_vs_best_single`` measures
+    what sharding itself buys over the best single-process path:
+    per-shard WALs and process parallelism against routing, wire and
+    two-phase costs.  The host's ``cpu_count`` is recorded beside it.
     Accepted/rejected/row counts are asserted identical across shard
     counts before any number is reported.
     """
@@ -679,8 +671,7 @@ def run_shard_scenarios(
                     )
                     assert pin.consistent
                     # Untimed seed: the mix must run against a populated
-                    # store, where per-insert validation cost (what the
-                    # workers' amortized block kernels remove) is real.
+                    # store, where per-insert validation cost is real.
                     seed_updates = [
                         (
                             "insert",
@@ -752,7 +743,7 @@ def run_shard_scenarios(
         if 1 in outcomes and 4 in outcomes:
             s1 = scenarios["shard_sustained_mix_s1"]
             s4 = scenarios["shard_sustained_mix_s4"]
-            scenarios["shard_scaling_s4_vs_s1"] = {
+            scenarios["shard_scaling_s4_vs_best_single"] = {
                 "tuples": total_ops,
                 "optimized_seconds": s4["seconds"],
                 "naive_seconds": s1["seconds"],
@@ -763,6 +754,7 @@ def run_shard_scenarios(
                 "seed_rows": seed_rows,
                 "repeats": repeats,
                 "seed": BENCH_SEED,
+                "cpu_count": os.cpu_count() or 1,
             }
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -1063,20 +1055,11 @@ def run_read_scenarios(
     return scenarios
 
 
-def run_metadata(workers: int) -> dict:
-    """The run's provenance: pool size, host shape, interpreter, and
-    the seed every randomized workload derives from.
-
-    ``effective_workers`` is what the host can actually run at once:
-    asking for more workers than CPUs records honest metadata
-    (``workers_capped=True``) instead of implying parallelism the
-    machine never delivered."""
-    cpu_count = os.cpu_count() or 1
+def run_metadata() -> dict:
+    """The run's provenance: host shape, interpreter, and the seed every
+    randomized workload derives from."""
     return {
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "effective_workers": min(workers, cpu_count),
-        "workers_capped": workers > cpu_count,
+        "cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),
         "seed": BENCH_SEED,
     }
@@ -1092,7 +1075,7 @@ def write_report(
     any per-test timings the benchmark suite recorded there).  ``spans``
     — the traced run's per-stage latency summaries
     (count/sum/min/max/p50/p95/p99 per span name) — lands under the
-    ``"spans"`` key; ``metadata`` (workers, cpu count, seed, ...) under
+    ``"spans"`` key; ``metadata`` (cpu count, seed, ...) under
     ``"metadata"``."""
     report: dict = {}
     if path.exists():
@@ -1211,14 +1194,6 @@ def main(argv: list[str] | None = None) -> int:
         help="operations in the read-heavy mix (default 400, 95%% "
         "queries)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="block-executor width for the parallel scenarios "
-        "(default 1: the block-parallel scenario is skipped and every "
-        "measured path stays single-threaded)",
-    )
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
 
     root = _repo_root()
@@ -1233,11 +1208,7 @@ def main(argv: list[str] | None = None) -> int:
     with tracing(tracer):
         if args.all or not only_families:
             scenarios.update(run_scenarios(repeats=args.repeats))
-            scenarios.update(
-                run_parallel_scenarios(
-                    repeats=args.repeats, workers=args.workers
-                )
-            )
+            scenarios.update(run_parallel_scenarios(repeats=args.repeats))
         if args.all or args.serving:
             scenarios.update(run_serving_scenarios(ops=args.serving_ops))
         if args.all or args.replica:
@@ -1246,9 +1217,9 @@ def main(argv: list[str] | None = None) -> int:
             scenarios.update(run_read_scenarios(ops=args.read_ops))
     spans = tracer.span_summaries()
     path = root / BENCH_PATH_NAME
-    metadata = run_metadata(args.workers)
+    metadata = run_metadata()
     # Honest run provenance for the read path: the measured hit rate
-    # and coalesced-read count land next to workers/seed so a headline
+    # and coalesced-read count land next to cpu_count/seed so a headline
     # speedup can never outrun what the cache actually absorbed.
     if "read_heavy_mix" in scenarios:
         metadata["read_cache_hit_rate"] = scenarios["read_heavy_mix"][
@@ -1258,14 +1229,6 @@ def main(argv: list[str] | None = None) -> int:
         metadata["coalesced_reads"] = scenarios["read_heavy_mix_frontend"][
             "coalesced_reads"
         ]
-    if metadata["workers_capped"]:
-        print(
-            f"warning: --workers {metadata['workers']} exceeds the "
-            f"{metadata['cpu_count']} available CPU(s); effective "
-            f"parallelism is {metadata['effective_workers']} "
-            "(recorded as workers_capped in the report metadata)",
-            file=sys.stderr,
-        )
     write_report(scenarios, path, spans=spans, metadata=metadata)
     _print_scenarios(scenarios)
     if spans:

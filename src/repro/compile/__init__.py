@@ -6,65 +6,50 @@ the state.  That makes them worth compiling: this package flattens each
 cached plan / RI-lookup expression into a straight-line program of
 columnar kernel ops over interned integer columns
 (:mod:`repro.compile.program`), with per-engine storage caches
-(:mod:`repro.compile.columns`) and a drop-in compiled
-representative-instance lookup (:mod:`repro.compile.lookup`).
+(:mod:`repro.compile.columns`), including the compiled branch
+selections behind the representative-instance lookup
+(:meth:`KernelSpace.ri_selections`).
 
 :class:`KernelSpace` bundles what one engine (or standalone
 maintainer) shares across all compiled evaluations: the program memo —
 an :class:`~repro.foundations.cache.LRUCache` keyed by
 ``(scheme_fingerprint, plan_fingerprint)`` — and the
 :class:`~repro.compile.columns.ColumnStore`.  The interpreted
-``Expression.evaluate`` walk stays the differential oracle; anything
-the compiler cannot flatten raises
-:class:`~repro.foundations.errors.CompileError` and callers fall back.
+``Expression.evaluate`` walk stays the differential oracle.  Every
+expression a plan builder emits (scans, joins, projections, unions,
+selections) compiles; anything else raises
+:class:`~repro.foundations.errors.CompileError`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Collection, Hashable, Iterator, Mapping, Optional
 
-from repro.algebra.expressions import Expression, Project, UnionExpr
+from repro.algebra.expressions import Expression
 from repro.foundations.cache import MISSING, LRUCache
 from repro.foundations.errors import CompileError
 from repro.schema.database_scheme import DatabaseScheme
+from repro.state.database_state import DatabaseState
 
 from repro.compile.columns import ColumnarRelation, ColumnStore
-from repro.compile.lookup import CompiledRILookup
 from repro.compile.program import (
     CompiledProgram,
     compile_expression,
     plan_fingerprint,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.maintenance import Selections
+
 __all__ = [
     "ColumnStore",
     "ColumnarRelation",
     "CompileError",
     "CompiledProgram",
-    "CompiledRILookup",
     "KernelSpace",
     "compile_expression",
     "plan_fingerprint",
 ]
-
-
-def _ri_branches(
-    scheme: DatabaseScheme, key: frozenset[str]
-) -> list[Expression]:
-    """The lossless-join branches behind ``σ_{K='k'}`` — the same
-    construction as ``ExpressionRILookup._branches_for`` (union peeled
-    to its operands, projections peeled to their join operands)."""
-    from repro.core.key_equivalent import total_projection_expression
-
-    expression = total_projection_expression(scheme, key)
-    if isinstance(expression, UnionExpr):
-        branches = list(expression.operands)
-    else:
-        branches = [expression]
-    return [
-        branch.operand if isinstance(branch, Project) else branch
-        for branch in branches
-    ]
 
 
 class KernelSpace:
@@ -146,9 +131,32 @@ class KernelSpace:
         memo_key = (scheme_fingerprint, key)
         entry = self._selections.get(memo_key, MISSING)
         if entry is MISSING:
+            from repro.core.maintenance import ri_branches
+
             entry = tuple(
                 self.expression_program(scheme_fingerprint, branch, params=key)
-                for branch in _ri_branches(scheme, key)
+                for branch in ri_branches(scheme, key)
             )
             self._selections.put(memo_key, entry)
         return entry
+
+    def ri_selections(self, state: DatabaseState) -> "Selections":
+        """The compiled branch evaluator for
+        :class:`~repro.core.maintenance.ExpressionRILookup` over
+        ``state``: each branch's ``σ_{K=?}`` program bound to the probe
+        condition, yielding its decoded rows."""
+        scheme = state.scheme
+        fingerprint = self.scheme_fp(scheme)
+
+        def selections(
+            key: frozenset[str], condition: Mapping[str, Hashable]
+        ) -> Iterator[Collection[Mapping[str, Hashable]]]:
+            for program in self.selection_programs(fingerprint, scheme, key):
+                yield [
+                    dict(zip(program.out_columns, vector))
+                    for vector in program.run_decoded(
+                        self.store, state, condition
+                    )
+                ]
+
+        return selections

@@ -11,7 +11,6 @@ from repro.core.ctm import (
     split_blocks,
 )
 from repro.core.engine import BatchOutcome, Update, WeakInstanceEngine
-from repro.core.parallel import ParallelExecutor
 from repro.core.partition import (
     SchemePartition,
     partition_scheme,
@@ -85,7 +84,6 @@ __all__ = [
     "MaterializedRepInstance",
     "KERepInstance",
     "MaintainerReport",
-    "ParallelExecutor",
     "QueryPlan",
     "RecognitionResult",
     "SchemePartition",

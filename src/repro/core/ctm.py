@@ -17,7 +17,6 @@ for schemes outside the class.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence, TYPE_CHECKING
 
@@ -118,9 +117,11 @@ class InsertMaintainer:
             partition if partition is not None else partition_scheme(scheme)
         )
         # Algorithm-2 validations run their bounded selections through
-        # compiled columnar kernels unless opted out; a maintainer built
-        # by an engine shares that engine's KernelSpace (program memo +
-        # column store), a standalone maintainer owns one.
+        # compiled columnar kernels; ``compiled=False`` builds the
+        # interpreted oracle for differential tests and benchmarks.  A
+        # maintainer built by an engine shares that engine's KernelSpace
+        # (program memo + column store), a standalone maintainer owns
+        # one.
         if kernels is None and compiled:
             from repro.compile import KernelSpace
 
@@ -160,15 +161,15 @@ class InsertMaintainer:
         )
 
     def _lookup(self, substate: DatabaseState):
-        """The RI lookup for one Algorithm-2 validation: compiled
-        kernels when enabled, the interpreted expression walk otherwise.
-        The Corollary 3.1(b) branches are always scans, joins and
-        projections, all inside the kernel set."""
-        if self.kernels is not None:
-            from repro.compile import CompiledRILookup
-
-            return CompiledRILookup(substate, self.kernels)
-        return ExpressionRILookup(substate)
+        """The RI lookup for one Algorithm-2 validation, its branch
+        selections on the compiled kernels unless this is the
+        interpreted oracle.  The Corollary 3.1(b) branches are always
+        scans, joins and projections, all inside the kernel set."""
+        if self.kernels is None:
+            return ExpressionRILookup(substate)
+        return ExpressionRILookup(
+            substate, self.kernels.ri_selections(substate)
+        )
 
     def _substate(
         self, state: DatabaseState, block: DatabaseScheme
@@ -254,7 +255,6 @@ class InsertMaintainer:
         the serial batch's first failure.  One :class:`StateIndex` is
         kept exact across the loop for ctm blocks, replacing the
         per-insert rebuild of the single-insert path."""
-        started = time.perf_counter()
         is_ctm = self.partition.block_ctm[block_index]
         index = StateIndex(substate) if is_ctm else None
         current = substate
@@ -292,12 +292,11 @@ class InsertMaintainer:
                             applied=applied,
                             failed_index=global_index,
                             failure=outcome,
-                            seconds=time.perf_counter() - started,
                             ops=len(operations),
                         )
                     assert outcome.state is not None
                     current = outcome.state
-                else:  # "delete" — route_updates admits nothing else
+                else:  # "delete" — route_indexed admits nothing else
                     current = current.delete(relation_name, values)
                     if index is not None:
                         index.evict(relation_name, current)
@@ -312,7 +311,6 @@ class InsertMaintainer:
                     applied=applied,
                     error_index=global_index,
                     error=error,
-                    seconds=time.perf_counter() - started,
                     ops=len(operations),
                 )
             applied += 1
@@ -320,7 +318,6 @@ class InsertMaintainer:
             block_index=block_index,
             substate=current,
             applied=applied,
-            seconds=time.perf_counter() - started,
             ops=len(operations),
         )
 
@@ -395,7 +392,6 @@ class BlockOutcome:
     failure: Optional[MaintenanceOutcome] = None
     error_index: Optional[int] = None
     error: Optional[BaseException] = None
-    seconds: float = 0.0
 
     def __bool__(self) -> bool:
         return self.substate is not None

@@ -17,15 +17,13 @@ downstream application needs:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import count
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro.compile import KernelSpace
-from repro.core.ctm import BlockOutcome, InsertMaintainer
-from repro.core.parallel import BACKENDS, ParallelExecutor
-from repro.core.partition import SchemePartition, partition_scheme
+from repro.core.ctm import InsertMaintainer
+from repro.core.partition import RoutedUpdate, SchemePartition, partition_scheme
 from repro.core.query import (
     QueryPlan,
     total_projection_plan,
@@ -35,13 +33,11 @@ from repro.core.readcache import ReadCache
 from repro.foundations.attrs import AttrsLike, attrs, fmt_attrs, sorted_attrs
 from repro.foundations.cache import MISSING, CacheInfo, LRUCache
 from repro.foundations.errors import (
-    CompileError,
     InconsistentStateError,
     SchemaError,
     StateError,
 )
-from repro.io import scheme_from_dict, scheme_to_dict
-from repro.obs.spans import current_tracer, span
+from repro.obs.spans import span
 from repro.schema.database_scheme import DatabaseScheme
 from repro.state.consistency import (
     ChaseResult,
@@ -84,6 +80,20 @@ class BatchOutcome:
         }
 
 
+@dataclass(frozen=True)
+class BatchEvent:
+    """The update a batch stops at, by global index: a rejected insert
+    (``failure``, its diagnostics intact) or a raised ``error``."""
+
+    index: int
+    failure: Optional[MaintenanceOutcome] = None
+    error: Optional[BaseException] = None
+
+
+#: ``(final state, None)`` or ``(None, the event the batch stopped at)``.
+BatchResult = tuple[Optional[DatabaseState], Optional[BatchEvent]]
+
+
 class WeakInstanceEngine:
     """Scheme-bound query/update engine with plan and chase caching.
 
@@ -98,11 +108,11 @@ class WeakInstanceEngine:
     object never changes; the cache entry keeps a strong reference to
     the state so the ``id`` cannot be recycled while the entry lives.
 
-    ``compiled=True`` (the default) routes reducible queries and the
-    Algorithm-2 insert validations through the columnar kernels of
-    :mod:`repro.compile`; ``compiled=False`` (the CLI's
-    ``--no-compile``) keeps every evaluation on the interpreted
-    expression walk.
+    Reducible queries and the Algorithm-2 insert validations run on the
+    columnar kernels of :mod:`repro.compile`.  ``compiled=False`` keeps
+    every evaluation on the interpreted expression walk; it exists only
+    to build the differential oracle for tests and benchmarks, and no
+    serving layer exposes it.
 
     ``read_cache=True`` (the default) keeps a block-versioned
     query-result cache in front of both query routes (see
@@ -117,17 +127,10 @@ class WeakInstanceEngine:
         scheme: DatabaseScheme,
         plan_cache_size: int = 256,
         chase_cache_size: int = 64,
-        workers: int = 1,
-        parallel_backend: str = "thread",
         compiled: bool = True,
         read_cache: bool = True,
         read_cache_size: int = 1024,
     ) -> None:
-        if parallel_backend not in BACKENDS:
-            raise StateError(
-                f"unknown parallel backend {parallel_backend!r}; "
-                f"expected one of {', '.join(BACKENDS)}"
-            )
         self.scheme = scheme
         self.partition: SchemePartition = partition_scheme(scheme)
         self._compiled: LRUCache = LRUCache(plan_cache_size)
@@ -141,10 +144,6 @@ class WeakInstanceEngine:
             compiled=compiled,
         )
         self.recognition = self.maintainer.recognition
-        self.workers = max(1, int(workers))
-        self.parallel_backend = parallel_backend
-        self._executor_lock = threading.Lock()
-        self._executor: Optional[ParallelExecutor] = None  # guarded-by: _executor_lock
         self._plans: LRUCache = LRUCache(plan_cache_size)
         self._chase: LRUCache = LRUCache(chase_cache_size)
         # Representative-instance fragments memoized per (block,
@@ -160,25 +159,9 @@ class WeakInstanceEngine:
             else None
         )
 
-    @property
-    def executor(self) -> Optional[ParallelExecutor]:
-        """The block-task executor — ``None`` at ``workers=1`` (the
-        default), where every path stays strictly single-threaded."""
-        if self.workers <= 1:
-            return None
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ParallelExecutor(
-                    self.workers, backend=self.parallel_backend
-                )
-            return self._executor
-
     def close(self) -> None:
-        """Shut down the worker pool, if one was ever started."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.close()
+        """Release nothing: the engine holds no threads, processes or
+        files.  Kept so code that closes what it opens stays valid."""
 
     # -- classification -------------------------------------------------------
     @property
@@ -378,26 +361,14 @@ class WeakInstanceEngine:
         self, state: DatabaseState, updates: Sequence[Update]
     ) -> BatchOutcome:
         """Apply updates atomically: on the first rejected insert the
-        original state is kept and the failure reported.
-
-        With ``workers > 1`` on a decomposable scheme the batch is
-        routed per block and the blocks run on the executor; blocks are
-        share-nothing, so the outcome — including the identity of the
-        first failure and its diagnostics — equals the serial result.
-        Batches that cannot be routed (an unknown operation or relation)
-        take the serial path so errors surface with their original
-        ordering semantics."""
+        original state is kept and the failure reported (see
+        :meth:`apply_indexed` for the route a batch takes)."""
         with span("engine.batch") as sp:
             if sp:
                 sp.add("updates", len(updates))
-            executor = self.executor
-            if executor is not None and self.partition.parallelizable:
-                routed = self.partition.route_updates(updates)
-                if routed is not None:
-                    return self._batch_blocks(
-                        state, updates, routed, executor
-                    )
-            return self._batch_serial(state, updates)
+            return _batch_outcome(
+                self.apply_indexed(state, _indexed(updates)), len(updates)
+            )
 
     def apply_batch(
         self, state: DatabaseState, updates: Sequence[Update]
@@ -408,132 +379,86 @@ class WeakInstanceEngine:
     def _batch_serial(
         self, state: DatabaseState, updates: Sequence[Update]
     ) -> BatchOutcome:
-        current = state
-        for index, (operation, relation_name, values) in enumerate(updates):
-            if operation == "insert":
-                outcome = self.insert(current, relation_name, values)
-                if not outcome.consistent:
-                    return BatchOutcome(
-                        state=None,
-                        applied=index,
-                        failed_index=index,
-                        failure=outcome,
-                    )
-                assert outcome.state is not None
-                current = outcome.state
-            elif operation == "delete":
-                current = self.delete(current, relation_name, values)
-            else:
-                raise StateError(f"unknown batch operation {operation!r}")
-        return BatchOutcome(state=current, applied=len(updates))
-
-    def _run_block_task(self, task) -> BlockOutcome:
-        """Thread-backend block task: runs under the dispatching
-        context (the executor copies contextvars), so the block span and
-        every nested chase/join span land in the caller's tracer."""
-        block_index, substate, operations = task
-        with span("engine.block") as sp:
-            outcome = self.maintainer.block_batch(
-                substate, block_index, operations
-            )
-            if sp:
-                sp.add("ops", outcome.ops)
-                sp.add("applied", outcome.applied)
-                sp.add("rejected", 0 if outcome.failed_index is None else 1)
-        return outcome
-
-    def _encode_block_task(
-        self, state: DatabaseState, block_index: int, operations
-    ) -> dict:
-        """Primitive payload for the process backend: states and
-        relations are slotted immutables that refuse pickling, so the
-        child rebuilds the block substate from plain dicts."""
-        names = self.partition.block_names[block_index]
-        return {
-            "block_index": block_index,
-            "scheme": scheme_to_dict(self.partition.blocks[block_index]),
-            "relations": {
-                name: [dict(values) for values in state[name]]
-                for name in names
-            },
-            "operations": [
-                (global_index, operation, relation_name, dict(values))
-                for global_index, operation, relation_name, values in operations
-            ],
-        }
-
-    def _decode_block_outcome(self, encoded: dict) -> BlockOutcome:
-        substate = None
-        if encoded["relations"] is not None:
-            substate = DatabaseState(
-                self.partition.blocks[encoded["block_index"]],
-                encoded["relations"],
-            )
-        return BlockOutcome(
-            block_index=encoded["block_index"],
-            substate=substate,
-            applied=encoded["applied"],
-            ops=encoded["ops"],
-            failed_index=encoded["failed_index"],
-            failure=encoded["failure"],
-            error_index=encoded["error_index"],
-            error=encoded["error"],
-            seconds=encoded["seconds"],
+        """:meth:`batch` through the per-insert loop alone — the oracle
+        the block path is tested against."""
+        return _batch_outcome(
+            self._apply_serial(state, _indexed(updates)), len(updates)
         )
 
-    def _batch_blocks(
-        self,
-        state: DatabaseState,
-        updates: Sequence[Update],
-        routed: Mapping[int, list],
-        executor: ParallelExecutor,
-    ) -> BatchOutcome:
-        ordered = sorted(routed.items())
-        if executor.backend == "process":
-            payloads = [
-                self._encode_block_task(state, block_index, operations)
-                for block_index, operations in ordered
-            ]
-            outcomes = [
-                self._decode_block_outcome(encoded)
-                for encoded in executor.map(_process_block_task, payloads)
-            ]
-            # A child process cannot share the parent's tracer; fold the
-            # measured block timings in from here instead.
-            tracer = current_tracer()
-            if tracer is not None:
-                for outcome in outcomes:
-                    tracer.record(
-                        "engine.block",
-                        outcome.seconds,
-                        {"ops": outcome.ops, "applied": outcome.applied},
+    def _apply_serial(
+        self, state: DatabaseState, operations: Sequence[RoutedUpdate]
+    ) -> BatchResult:
+        """Apply operations one at a time through :meth:`insert` /
+        :meth:`delete`, stopping at the first rejection or raised
+        error."""
+        current = state
+        for global_index, operation, relation_name, values in operations:
+            try:
+                if operation == "insert":
+                    outcome = self.insert(current, relation_name, values)
+                    if not outcome.consistent:
+                        return None, BatchEvent(global_index, failure=outcome)
+                    assert outcome.state is not None
+                    current = outcome.state
+                elif operation == "delete":
+                    current = self.delete(current, relation_name, values)
+                else:
+                    raise StateError(
+                        f"unknown batch operation {operation!r}"
                     )
-        else:
-            tasks = [
-                (
-                    block_index,
-                    self.partition.substate(state, block_index),
-                    operations,
-                )
-                for block_index, operations in ordered
-            ]
-            outcomes = executor.map(self._run_block_task, tasks)
+            except Exception as error:  # noqa: BLE001 — raised by rank
+                return None, BatchEvent(global_index, error=error)
+        return current, None
 
+    def apply_indexed(
+        self, state: DatabaseState, operations: Sequence[RoutedUpdate]
+    ) -> BatchResult:
+        """Apply globally-indexed operations; the batch path of
+        :meth:`batch` and of the shard worker's slices.
+
+        On an accepted partition the operations are routed per block and
+        each block's slice runs through
+        :meth:`~repro.core.ctm.InsertMaintainer.block_batch` (Section
+        4.2: an insert into block ``Tp`` is checked against ``Tp``'s
+        substate only).  Non-reducible schemes and operations that
+        cannot be routed (an unknown operation or relation) take the
+        per-insert loop.
+
+        Returns ``(state, None)`` when every operation succeeded, with
+        the written blocks' read-cache versions stamped, or ``(None,
+        event)`` for the earliest rejection or error by global index.
+        Blocks share nothing, so that is exactly where the serial loop
+        stops, with the same diagnostics."""
+        routed = (
+            self.partition.route_indexed(operations)
+            if self.partition.accepted
+            else None
+        )
+        if routed is None:
+            return self._apply_serial(state, operations)
+        outcomes = []
+        for block_index, block_operations in sorted(routed.items()):
+            with span("engine.block") as sp:
+                outcome = self.maintainer.block_batch(
+                    self.partition.substate(state, block_index),
+                    block_index,
+                    block_operations,
+                )
+                if sp:
+                    sp.add("ops", outcome.ops)
+                    sp.add("applied", outcome.applied)
+                    sp.add(
+                        "rejected", 0 if outcome.failed_index is None else 1
+                    )
+            outcomes.append(outcome)
         events = [
             outcome for outcome in outcomes if outcome.event_index is not None
         ]
         if events:
             first = min(events, key=lambda outcome: outcome.event_index)
-            if first.error is not None:
-                # The serial loop would have raised here: every earlier
-                # update (across all blocks) succeeded.
-                raise first.error
-            assert first.failed_index is not None
-            return BatchOutcome(
-                state=None,
-                applied=first.failed_index,
-                failed_index=first.failed_index,
-                failure=first.failure,
+            assert first.event_index is not None
+            return None, BatchEvent(
+                first.event_index, failure=first.failure, error=first.error
             )
         merged: dict[str, object] = {}
         for outcome in outcomes:
@@ -547,7 +472,7 @@ class WeakInstanceEngine:
         if self.read_cache is not None:
             for block_index in routed:
                 self.read_cache.note_write(merged_state, block_index)
-        return BatchOutcome(state=merged_state, applied=len(updates))
+        return merged_state, None
 
     def streaming(self, state: DatabaseState):
         """Per-block materialized views over ``state`` — the insert-heavy
@@ -590,17 +515,18 @@ class WeakInstanceEngine:
         """``[X]`` through the compiled kernel program for the cached
         plan, or ``None`` when the target has no predetermined plan (a
         ``SchemaError`` target falls back to the block route, which
-        answers uncoverable targets with the empty set) or the plan
-        cannot be flattened into kernels."""
+        answers uncoverable targets with the empty set).  Every plan
+        expression compiles: plan builders emit only scans, joins,
+        projections and unions."""
         kernels = self.kernels
         assert kernels is not None
         try:
             plan = self.plan(target)
-            program = kernels.expression_program(
-                self.partition.fingerprint, plan.expression
-            )
-        except (SchemaError, CompileError):
+        except SchemaError:
             return None
+        program = kernels.expression_program(
+            self.partition.fingerprint, plan.expression
+        )
         with span("engine.query.compiled") as sp:
             rows = program.run_decoded(kernels.store, state)
             if sp:
@@ -653,30 +579,26 @@ class WeakInstanceEngine:
             return rows
 
 
-def _process_block_task(payload: dict) -> dict:
-    """Process-backend block task (top level: workers import it by
-    name).  Rebuilds the block as a standalone scheme — a single
-    key-equivalent block partitions to itself, so maintenance strategy
-    selection matches the parent's — applies the slice, and returns a
-    picklable rendering of the outcome."""
-    block = scheme_from_dict(payload["scheme"])
-    maintainer = InsertMaintainer(block)
-    substate = DatabaseState(block, payload["relations"])
-    outcome = maintainer.block_batch(substate, 0, payload["operations"])
-    relations = None
-    if outcome.substate is not None:
-        relations = {
-            name: [dict(values) for values in relation]
-            for name, relation in outcome.substate
-        }
-    return {
-        "block_index": payload["block_index"],
-        "relations": relations,
-        "applied": outcome.applied,
-        "ops": outcome.ops,
-        "failed_index": outcome.failed_index,
-        "failure": outcome.failure,
-        "error_index": outcome.error_index,
-        "error": outcome.error,
-        "seconds": outcome.seconds,
-    }
+def _indexed(updates: Sequence[Update]) -> list[RoutedUpdate]:
+    return [
+        (index, operation, relation_name, values)
+        for index, (operation, relation_name, values) in enumerate(updates)
+    ]
+
+
+def _batch_outcome(result: BatchResult, updates: int) -> BatchOutcome:
+    """A batch's verdict from an ``apply_*`` result: the final state, or
+    the rejection at the event's index, or the event's error raised —
+    the serial loop raises there because every earlier update
+    succeeded."""
+    state, event = result
+    if event is None:
+        return BatchOutcome(state=state, applied=updates)
+    if event.error is not None:
+        raise event.error
+    return BatchOutcome(
+        state=None,
+        applied=event.index,
+        failed_index=event.index,
+        failure=event.failure,
+    )

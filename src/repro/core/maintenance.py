@@ -23,9 +23,17 @@ quantity the paper's ctm lower bound (Theorem 3.4) speaks about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Optional, Protocol
+from typing import (
+    Callable,
+    Collection,
+    Hashable,
+    Iterator,
+    Mapping,
+    Optional,
+    Protocol,
+)
 
-from repro.algebra.expressions import Select
+from repro.algebra.expressions import Expression, Project, Select, UnionExpr
 from repro.core.key_equivalent import (
     KERepInstance,
     key_equivalent_chase,
@@ -39,6 +47,7 @@ from repro.foundations.errors import (
     NotApplicableError,
     StateError,
 )
+from repro.schema.database_scheme import DatabaseScheme
 from repro.state.consistency import MaintenanceOutcome
 from repro.state.database_state import DatabaseState
 
@@ -281,6 +290,34 @@ class ChaseRILookup:
         return self.instance.lookup(key, [values[a] for a in ordered])
 
 
+#: Evaluates ``σ_{K='k'}`` over each lossless-join branch for probe key
+#: ``K`` and condition ``{a: k[a]}``, yielding one branch's result rows
+#: at a time — lazily, so a branch that proves the state inconsistent
+#: stops the probe before the next branch is evaluated.
+Selections = Callable[
+    [frozenset[str], Mapping[str, Hashable]],
+    Iterator[Collection[Mapping[str, Hashable]]],
+]
+
+
+def ri_branches(
+    scheme: DatabaseScheme, key: frozenset[str]
+) -> list[Expression]:
+    """The lossless-join branches behind ``σ_{K='k'}``: the Corollary
+    3.1(b) expression for ``K`` with its union peeled to its operands
+    and each projection peeled to its join operand (a selection needs
+    the full join, not the projection onto the key)."""
+    expression = total_projection_expression(scheme, key)
+    if isinstance(expression, UnionExpr):
+        branches = list(expression.operands)
+    else:
+        branches = [expression]
+    return [
+        branch.operand if isinstance(branch, Project) else branch
+        for branch in branches
+    ]
+
+
 class ExpressionRILookup:
     """Theorem 3.2's lookup: assemble the representative-instance row for
     a key value by single-tuple conjunctive selections over the
@@ -295,37 +332,34 @@ class ExpressionRILookup:
     key-equivalent schemes algebraic-maintainable — while the *cost* of
     evaluating a branch still scales with the state, which is why split
     schemes are nonetheless not ctm (Theorem 3.4).
+
+    ``selections`` evaluates the branches.  The default walks the
+    interpreted ``Select`` expressions; the engine passes
+    :meth:`repro.compile.KernelSpace.ri_selections`, whose compiled
+    programs probe cached hash indexes instead of materializing the
+    join.  Probe order, counters and errors do not depend on it.
     """
 
-    def __init__(self, state: DatabaseState) -> None:
+    def __init__(
+        self, state: DatabaseState, selections: Optional[Selections] = None
+    ) -> None:
         self.state = state
         self.scheme = state.scheme
         self.tuples_retrieved = 0
         self.selections_issued = 0
-        self._branches: dict[frozenset[str], list] = {}
+        self._branches: dict[frozenset[str], list[Expression]] = {}
+        self._selections = (
+            selections if selections is not None else self._interpreted
+        )
 
-    def _branches_for(self, key: frozenset[str]) -> list:
+    def _interpreted(
+        self, key: frozenset[str], condition: Mapping[str, Hashable]
+    ) -> Iterator[Collection[Mapping[str, Hashable]]]:
         branches = self._branches.get(key)
         if branches is None:
-            expression = total_projection_expression(self.scheme, key)
-            # A union's branches are the per-subset joins; a single
-            # subset yields the projection itself.
-            from repro.algebra.expressions import UnionExpr
-
-            if isinstance(expression, UnionExpr):
-                branches = list(expression.operands)
-            else:
-                branches = [expression]
-            # Selections need the full join (not the projection onto the
-            # key), so peel the projection and keep its operand.
-            from repro.algebra.expressions import Project
-
-            branches = [
-                branch.operand if isinstance(branch, Project) else branch
-                for branch in branches
-            ]
-            self._branches[key] = branches
-        return branches
+            branches = self._branches[key] = ri_branches(self.scheme, key)
+        for branch in branches:
+            yield Select(branch, condition).evaluate(self.state)
 
     def find(
         self, key: frozenset[str], values: Mapping[str, Hashable]
@@ -339,9 +373,7 @@ class ExpressionRILookup:
                 if not probe_key <= set(row):
                     continue
                 condition = {a: row[a] for a in probe_key}
-                for branch in self._branches_for(probe_key):
-                    selection = Select(branch, condition)
-                    result = selection.evaluate(self.state)
+                for result in self._selections(probe_key, condition):
                     self.selections_issued += 1
                     if len(result) > 1:
                         raise InconsistentStateError(

@@ -1,4 +1,4 @@
-"""Scheme partitioning for block-parallel evaluation.
+"""Scheme partitioning for block-local evaluation.
 
 An accepted recognition (Algorithm 6) certifies more than membership:
 the uniqueness condition forces every key of a block to stay outside the
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Mapping, Optional, Tuple
 
 from repro.core.reducible import (
     RecognitionResult,
@@ -106,25 +106,25 @@ class SchemePartition:
             self.blocks[block_index], {name: state[name] for name in names}
         )
 
-    def route_updates(
-        self, updates: Sequence[tuple[str, str, Mapping[str, Hashable]]]
+    def route_indexed(
+        self, operations: Iterable[RoutedUpdate]
     ) -> Optional[dict[int, list[RoutedUpdate]]]:
-        """Group a batch by target block, preserving global order.
+        """Group globally-indexed operations by target block, preserving
+        their order.
 
         Returns ``None`` when the batch cannot be routed — an unknown
         operation or relation — so callers fall back to the serial path
         and surface the error with its original semantics (an unknown
         op after a rejected insert must still report the rejection)."""
         grouped: dict[int, list[RoutedUpdate]] = {}
-        for index, (operation, relation_name, values) in enumerate(updates):
+        for entry in operations:
+            _, operation, relation_name, _ = entry
             if operation not in ("insert", "delete"):
                 return None
             block = self._block_index.get(relation_name)
             if block is None:
                 return None
-            grouped.setdefault(block, []).append(
-                (index, operation, relation_name, values)
-            )
+            grouped.setdefault(block, []).append(entry)
         return grouped
 
 

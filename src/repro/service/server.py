@@ -85,9 +85,6 @@ class SchemeServer:
         scheme: Optional[DatabaseScheme] = None,
         state: Optional[DatabaseState] = None,
         tracer: Optional[Tracer] = None,
-        workers: int = 1,
-        parallel_backend: str = "thread",
-        compiled: bool = True,
         read_cache: bool = True,
     ) -> None:
         if (store is None) == (scheme is None):
@@ -115,13 +112,7 @@ class SchemeServer:
         else:
             assert scheme is not None
             self.scheme = scheme
-            self.engine = WeakInstanceEngine(
-                scheme,
-                workers=workers,
-                parallel_backend=parallel_backend,
-                compiled=compiled,
-                read_cache=read_cache,
-            )
+            self.engine = WeakInstanceEngine(scheme, read_cache=read_cache)
             self.metrics = MetricsRegistry()
             self._state = (
                 state if state is not None else self.engine.empty_state()
@@ -133,17 +124,9 @@ class SchemeServer:
         cls,
         scheme: DatabaseScheme,
         state: Optional[DatabaseState] = None,
-        workers: int = 1,
-        compiled: bool = True,
         read_cache: bool = True,
     ) -> "SchemeServer":
-        return cls(
-            scheme=scheme,
-            state=state,
-            workers=workers,
-            compiled=compiled,
-            read_cache=read_cache,
-        )
+        return cls(scheme=scheme, state=state, read_cache=read_cache)
 
     @classmethod
     def serving(cls, store: DurableStore) -> "SchemeServer":
@@ -292,10 +275,9 @@ class SchemeServer:
         )
 
     def close(self) -> None:
-        # Take the write lock in *both* branches: an in-flight write on
-        # another thread must finish (and publish its state) before the
-        # engine's worker pool — which that write may be using — is
-        # torn down.  Idempotent: a supervised shutdown (signal handler
+        # Under the write lock: an in-flight write on another thread
+        # must finish (and log its record) before the store's WAL is
+        # closed.  Idempotent: a supervised shutdown (signal handler
         # plus ``finally`` block plus supervisor) may close the same
         # server from several paths.
         with self._write_lock:
@@ -304,5 +286,3 @@ class SchemeServer:
             self._closed = True
             if self._store is not None:
                 self._store.close()
-            else:
-                self.engine.close()

@@ -184,9 +184,6 @@ class DurableStore:
         compact_factor: float = 4.0,
         auto_compact: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        workers: int = 1,
-        parallel_backend: str = "thread",
-        compiled: bool = True,
         read_cache: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> "DurableStore":
@@ -207,9 +204,6 @@ class DurableStore:
             compact_factor=compact_factor,
             auto_compact=auto_compact,
             metrics=metrics,
-            workers=workers,
-            parallel_backend=parallel_backend,
-            compiled=compiled,
             read_cache=read_cache,
             segment_bytes=segment_bytes,
         )
@@ -223,18 +217,13 @@ class DurableStore:
         compact_factor: float = 4.0,
         auto_compact: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        workers: int = 1,
-        parallel_backend: str = "thread",
-        compiled: bool = True,
         read_cache: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         as_of_seq: Optional[int] = None,
     ) -> "DurableStore":
         """Recover the store at ``directory``: snapshot + WAL replay.
 
-        ``workers`` sizes the engine's block-task executor; the default
-        of 1 keeps every code path single-threaded.  Replay itself is
-        sequential either way, but each replayed insert extends the
+        Replay is sequential, and each replayed insert extends the
         engine's delta-chase basis instead of re-chasing the whole
         state, so recovery cost follows the log's cascades, not
         (log length) x (state size).
@@ -252,13 +241,7 @@ class DurableStore:
             if not scheme_path.exists():
                 raise StoreError(f"{directory} does not contain a store")
             scheme = load_scheme(scheme_path)
-            engine = WeakInstanceEngine(
-                scheme,
-                workers=workers,
-                parallel_backend=parallel_backend,
-                compiled=compiled,
-                read_cache=read_cache,
-            )
+            engine = WeakInstanceEngine(scheme, read_cache=read_cache)
 
             snapshot_path = directory / SNAPSHOT_FILE
             if snapshot_path.exists():
@@ -596,14 +579,8 @@ class DurableStore:
         return True
 
     def close(self) -> None:
-        """Flush the WAL and release the engine's executor.
-
-        The engine close sits in a ``finally``: a WAL close that fails
-        (its final fsync, say) must not leak the executor threads."""
-        try:
-            self._wal.close()
-        finally:
-            self.engine.close()
+        """Flush and close the WAL."""
+        self._wal.close()
 
     def __enter__(self) -> "DurableStore":
         return self

@@ -164,6 +164,20 @@ def shard_map_for(scheme: DatabaseScheme, shards: int) -> ShardMap:
     return cached
 
 
+def _worker_entry(
+    conn: socket.socket,
+    config: Mapping[str, Any],
+    router_ends: Sequence[socket.socket],
+) -> None:
+    """A forked worker's first step: close the router-side socket ends
+    it inherited — its own pair's and every earlier worker's — so that
+    when the router dies the kernel drops the last reference to each
+    router end and every worker reads EOF instead of waiting forever."""
+    for sock in router_ends:
+        sock.close()
+    worker_main(conn, config)
+
+
 def _rebuild_error(info: Mapping[str, Any]) -> Exception:
     """An exception equivalent to the one a worker serialized."""
     import builtins
@@ -267,7 +281,6 @@ class ShardRouter:
         create_dirs: bool = False,
         tracer: Optional[Tracer] = None,
         fsync_every: int = 1,
-        compiled: bool = True,
         read_cache: bool = True,
     ) -> None:
         self.scheme = scheme
@@ -277,7 +290,6 @@ class ShardRouter:
         self.metrics = MetricsRegistry()
         self.directory = Path(directory) if directory is not None else None
         self._fsync_every = fsync_every
-        self._compiled = compiled
         self._read_cache = read_cache
         self._write_lock = threading.Lock()
         self._sessions_lock = threading.Lock()
@@ -292,9 +304,7 @@ class ShardRouter:
         # Its read cache stays off: gathered states are fresh objects
         # every time, so entries could never hit — the per-worker
         # engines (which see stable states) carry the read cache.
-        self._engine = WeakInstanceEngine(
-            scheme, compiled=compiled, read_cache=False
-        )
+        self._engine = WeakInstanceEngine(scheme, read_cache=False)
         if self.map.shards <= 1:
             self._start_inline()
         else:
@@ -307,17 +317,10 @@ class ShardRouter:
         scheme: DatabaseScheme,
         shards: int = 1,
         tracer: Optional[Tracer] = None,
-        compiled: bool = True,
         read_cache: bool = True,
     ) -> "ShardRouter":
         """A sharded deployment with nothing on disk."""
-        return cls(
-            scheme,
-            shards,
-            tracer=tracer,
-            compiled=compiled,
-            read_cache=read_cache,
-        )
+        return cls(scheme, shards, tracer=tracer, read_cache=read_cache)
 
     @classmethod
     def create(
@@ -327,7 +330,6 @@ class ShardRouter:
         shards: int = 1,
         *,
         fsync_every: int = 1,
-        compiled: bool = True,
         tracer: Optional[Tracer] = None,
         read_cache: bool = True,
     ) -> "ShardRouter":
@@ -348,7 +350,6 @@ class ShardRouter:
             create_dirs=True,
             tracer=tracer,
             fsync_every=fsync_every,
-            compiled=compiled,
             read_cache=read_cache,
         )
 
@@ -359,7 +360,6 @@ class ShardRouter:
         shards: Optional[int] = None,
         *,
         fsync_every: int = 1,
-        compiled: bool = True,
         tracer: Optional[Tracer] = None,
         read_cache: bool = True,
     ) -> "ShardRouter":
@@ -395,7 +395,6 @@ class ShardRouter:
             directory=directory,
             tracer=tracer,
             fsync_every=fsync_every,
-            compiled=compiled,
             read_cache=read_cache,
         )
 
@@ -420,24 +419,15 @@ class ShardRouter:
 
             if (shard_dir / SCHEME_FILE).exists():
                 store = DurableStore.open(
-                    shard_dir,
-                    fsync_every=self._fsync_every,
-                    compiled=self._compiled,
+                    shard_dir, fsync_every=self._fsync_every
                 )
             else:
                 store = DurableStore.create(
-                    shard_dir,
-                    self.scheme,
-                    fsync_every=self._fsync_every,
-                    compiled=self._compiled,
+                    shard_dir, self.scheme, fsync_every=self._fsync_every
                 )
             self._local = SchemeServer(store=store, tracer=self.tracer)
         else:
-            self._local = SchemeServer(
-                scheme=self.scheme,
-                tracer=self.tracer,
-                compiled=self._compiled,
-            )
+            self._local = SchemeServer(scheme=self.scheme, tracer=self.tracer)
 
     def _start_workers(self) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -453,12 +443,11 @@ class ShardRouter:
                 "scheme": scheme_to_dict(self._shard_scheme(index)),
                 "store_dir": self._shard_dir(index),
                 "fsync_every": self._fsync_every,
-                "compiled": self._compiled,
                 "read_cache": self._read_cache,
             }
             process = context.Process(
-                target=worker_main,
-                args=(child_sock, config),
+                target=_worker_entry,
+                args=(child_sock, config, [*self._socks, parent_sock]),
                 name=f"repro-shard-{index}",
                 daemon=True,
             )
@@ -948,7 +937,6 @@ class ShardRouter:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
-        self._engine.close()
 
     def __enter__(self) -> "ShardRouter":
         return self

@@ -92,91 +92,27 @@ def apply_slice(
     event, applied)``: on success the slice's resulting state; on the
     first failure the event at its global index — exactly what the
     serial single-process batch would decide at that position, because
-    the per-block work runs through the same
-    :meth:`~repro.core.ctm.InsertMaintainer.block_batch` kernel."""
-    partition = engine.partition
-    if partition.accepted:
-        grouped: dict[int, list] = {}
-        for operation in operations:
-            block = partition.block_index_of(operation[2])
-            grouped.setdefault(block, []).append(operation)
-        outcomes = [
-            engine.maintainer.block_batch(
-                partition.substate(state, block_index), block_index, ops
-            )
-            for block_index, ops in sorted(grouped.items())
-        ]
-        events = [
-            outcome
-            for outcome in outcomes
-            if outcome.event_index is not None
-        ]
-        if events:
-            first = min(events, key=lambda outcome: outcome.event_index)
-            if first.error is not None:
-                event = SliceEvent(
-                    first.error_index,
-                    error_type=type(first.error).__name__,
-                    error_message=str(first.error),
-                )
-            else:
-                assert first.failure is not None
-                event = SliceEvent(
-                    first.failed_index,
-                    outcome_dict=first.failure.to_dict(),
-                )
-            return None, event, 0
-        merged: dict[str, object] = {}
-        for outcome in outcomes:
-            assert outcome.substate is not None
-            for name in partition.block_names[outcome.block_index]:
-                merged[name] = outcome.substate[name]
-        relations = {
-            name: merged.get(name, state[name])
-            for name in engine.scheme.names
-        }
-        next_state = DatabaseState(engine.scheme, relations)
-        # Stamp the written blocks: lazy identity-keyed versioning keeps
-        # an unstamped state sound, but the bump keeps the first
-        # post-write probe cheap and the writes_observed metric honest
-        # (the serial path below inherits its stamps from
-        # engine.insert/delete).
-        if engine.read_cache is not None:
-            for block_index in grouped:
-                engine.read_cache.note_write(next_state, block_index)
+    the slice runs through the engine's own batch path
+    (:meth:`~repro.core.engine.WeakInstanceEngine.apply_indexed`)."""
+    next_state, event = engine.apply_indexed(state, operations)
+    if event is None:
         return next_state, None, len(operations)
-    # Non-decomposable shard scheme: the serial loop, still at global
-    # indices.  Correct for any scheme; only the amortization is lost.
-    current = state
-    applied = 0
-    for global_index, operation, relation_name, values in operations:
-        try:
-            if operation == "insert":
-                outcome = engine.insert(current, relation_name, values)
-                if not outcome.consistent:
-                    return (
-                        None,
-                        SliceEvent(
-                            global_index, outcome_dict=outcome.to_dict()
-                        ),
-                        applied,
-                    )
-                assert outcome.state is not None
-                current = outcome.state
-            else:
-                current = engine.delete(current, relation_name, values)
-        except Exception as error:  # noqa: BLE001 — replayed by rank
-            return (
-                None,
-                SliceEvent(
-                    global_index,
-                    error_type=type(error).__name__,
-                    error_message=str(error),
-                ),
-                applied,
-            )
-        applied += 1
-    return current, None, applied
+    if event.error is not None:
+        return (
+            None,
+            SliceEvent(
+                event.index,
+                error_type=type(event.error).__name__,
+                error_message=str(event.error),
+            ),
+            0,
+        )
+    assert event.failure is not None
+    return (
+        None,
+        SliceEvent(event.index, outcome_dict=event.failure.to_dict()),
+        0,
+    )
 
 
 class ShardWorker:
@@ -213,7 +149,6 @@ class ShardWorker:
         tracer = Tracer()
         scheme = scheme_from_dict(config["scheme"])
         store_dir = config.get("store_dir")
-        compiled = bool(config.get("compiled", True))
         read_cache = bool(config.get("read_cache", True))
         if store_dir is not None:
             from pathlib import Path
@@ -225,7 +160,6 @@ class ShardWorker:
                     store = DurableStore.open(
                         store_dir,
                         fsync_every=int(config.get("fsync_every", 1)),
-                        compiled=compiled,
                         read_cache=read_cache,
                     )
                 else:
@@ -233,7 +167,6 @@ class ShardWorker:
                         store_dir,
                         scheme,
                         fsync_every=int(config.get("fsync_every", 1)),
-                        compiled=compiled,
                         read_cache=read_cache,
                     )
             return cls(
@@ -243,9 +176,7 @@ class ShardWorker:
                 store=store,
                 tracer=tracer,
             )
-        engine = WeakInstanceEngine(
-            scheme, compiled=compiled, read_cache=read_cache
-        )
+        engine = WeakInstanceEngine(scheme, read_cache=read_cache)
         return cls(
             shard=int(config["shard"]),
             engine=engine,
@@ -262,8 +193,6 @@ class ShardWorker:
         self._pending = None
         if self.store is not None:
             self.store.close()
-        else:
-            self.engine.close()
 
     # -- dispatch -------------------------------------------------------------
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:

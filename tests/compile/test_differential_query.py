@@ -3,7 +3,7 @@ observationally identical to the interpreted expression walk.
 
 Every paper scheme and a band of seeded random schemes are queried
 through two engines — ``compiled=True`` (the default) and
-``compiled=False`` (the ``--no-compile`` route) — over empty, sparse
+``compiled=False`` (the interpreted oracle) — over empty, sparse
 and saturated states, across every relation scheme, every single
 attribute, and the full universe as targets.  Any divergence is a
 kernel bug: the interpreted walk is the oracle.

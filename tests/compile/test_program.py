@@ -101,7 +101,7 @@ class TestKernelSpace:
     def test_compiled_selection_matches_interpreted_branch(self):
         # The σ_{K='k'} programs behind the RI lookup agree with the
         # interpreted evaluation of their own branch expressions.
-        from repro.compile import _ri_branches
+        from repro.core.maintenance import ri_branches as _ri_branches
 
         scheme = example4_split_scheme()
         state = DatabaseState(

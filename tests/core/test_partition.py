@@ -94,7 +94,9 @@ class TestRouting:
             ("insert", "T1R4", {"C1": "c", "S1": "s", "G1": "g"}),
             ("delete", "T0R4", {"C0": "c", "S0": "s", "G0": "g"}),
         ]
-        routed = partition.route_updates(updates)
+        routed = partition.route_indexed(
+            (index, *update) for index, update in enumerate(updates)
+        )
         assert routed is not None
         flattened = sorted(
             (global_index, op, name)
@@ -112,10 +114,10 @@ class TestRouting:
     def test_unroutable_batches_return_none(self):
         partition = partition_scheme(example1_university())
         assert (
-            partition.route_updates([("upsert", "R4", {})]) is None
+            partition.route_indexed([(0, "upsert", "R4", {})]) is None
         )  # unknown op
         assert (
-            partition.route_updates([("insert", "NOPE", {})]) is None
+            partition.route_indexed([(0, "insert", "NOPE", {})]) is None
         )  # unknown relation
 
 

@@ -156,7 +156,7 @@ class TestInvalidation:
 
     def test_batch_bumps_every_routed_block(self):
         scheme = example1_university()
-        engine = WeakInstanceEngine(scheme, workers=2)
+        engine = WeakInstanceEngine(scheme)
         partition = engine.partition
         state = engine.empty_state()
         first = scheme.relations[0]
